@@ -5,7 +5,7 @@
 
 use chameleon_bench::{build_dataset, Args, ExperimentConfig};
 use chameleon_core::anonymity::{anonymity_check, AdversaryKnowledge};
-use chameleon_core::candidate::{select_candidates, VertexSampler};
+use chameleon_core::candidate::{select_candidates, EdgeLookup, VertexSampler};
 use chameleon_core::perturb::draw_noise;
 use chameleon_core::relevance::{
     edge_reliability_relevance, min_max_normalize, vertex_reliability_relevance,
@@ -79,7 +79,7 @@ fn main() {
     // One perturbation trial at this sigma.
     let sampler = VertexSampler::new(&selection, &excluded);
     let mut rng = seq.rng("trial");
-    let cands = select_candidates(&g, &sampler, 2.0, &mut rng);
+    let cands = select_candidates(&g, &EdgeLookup::new(&g), &sampler, 2.0, &mut rng);
     let q_edge: Vec<f64> = cands
         .iter()
         .map(|c| 0.5 * (selection[c.u as usize] + selection[c.v as usize]))

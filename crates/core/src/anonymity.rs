@@ -25,11 +25,38 @@ use chameleon_stats::{shannon_entropy_bits, WeightTotal};
 use chameleon_ugraph::{NodeId, UncertainGraph};
 use std::collections::HashMap;
 
+/// A published graph as the degree-pmf builder reads it: each vertex's
+/// incident edge probabilities, in the order the truncated Poisson–binomial
+/// DP consumes them. The DP is a fixed float program of that sequence, so
+/// two sources yielding the same sequences give bit-identical reports —
+/// which is how a GenObf trial overlay (DESIGN.md §6e) is checked without
+/// building its graph.
+pub(crate) trait IncidentProbs: Sync {
+    /// Number of vertices.
+    fn num_nodes(&self) -> usize;
+    /// Incident edge probabilities of `v`, in adjacency order.
+    fn incident_probs(&self, v: NodeId) -> Vec<f64>;
+}
+
+impl IncidentProbs for UncertainGraph {
+    fn num_nodes(&self) -> usize {
+        UncertainGraph::num_nodes(self)
+    }
+
+    fn incident_probs(&self, v: NodeId) -> Vec<f64> {
+        UncertainGraph::incident_probs(self, v)
+    }
+}
+
 /// Builds the per-vertex truncated degree pmfs — the dominant cost of the
 /// anonymity check — on up to `threads` worker threads. Each vertex's pmf
 /// is a pure function of its incident probabilities, so the output is
 /// identical for every thread count.
-fn degree_pmfs(published: &UncertainGraph, omega_max: usize, threads: usize) -> Vec<Vec<f64>> {
+fn degree_pmfs<S: IncidentProbs + ?Sized>(
+    published: &S,
+    omega_max: usize,
+    threads: usize,
+) -> Vec<Vec<f64>> {
     let _span = chameleon_obs::span!("anonymity.degree_pmfs");
     chameleon_obs::counter!("anonymity.pmfs_built").add(published.num_nodes() as u64);
     parallel::map_items(published.num_nodes(), threads, |v| {
@@ -244,6 +271,16 @@ pub fn anonymity_check_threads(
     k: usize,
     threads: usize,
 ) -> AnonymityReport {
+    check_dense(published, knowledge, k, threads)
+}
+
+/// [`anonymity_check_threads`] over any [`IncidentProbs`] source.
+pub(crate) fn check_dense<S: IncidentProbs + ?Sized>(
+    published: &S,
+    knowledge: &AdversaryKnowledge,
+    k: usize,
+    threads: usize,
+) -> AnonymityReport {
     let _span = chameleon_obs::span!("anonymity.check");
     chameleon_obs::counter!("anonymity.checks").add(1);
     assert!(k >= 1, "k must be at least 1");
@@ -287,6 +324,17 @@ pub fn anonymity_check_threads(
 /// Same contract as [`anonymity_check`].
 pub fn anonymity_check_streamed(
     published: &UncertainGraph,
+    knowledge: &AdversaryKnowledge,
+    k: usize,
+    strip_vertices: usize,
+    threads: usize,
+) -> AnonymityReport {
+    check_streamed(published, knowledge, k, strip_vertices, threads)
+}
+
+/// [`anonymity_check_streamed`] over any [`IncidentProbs`] source.
+pub(crate) fn check_streamed<S: IncidentProbs + ?Sized>(
+    published: &S,
     knowledge: &AdversaryKnowledge,
     k: usize,
     strip_vertices: usize,

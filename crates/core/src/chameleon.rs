@@ -1,19 +1,15 @@
 //! The Chameleon anonymization driver: GenObf (paper Algorithm 3) wrapped
 //! in the σ binary-search skeleton (paper Algorithm 1).
 
-use crate::anonymity::{
-    anonymity_check_streamed, anonymity_check_threads, AdversaryKnowledge, AnonymityReport,
-    DegreePmfCache,
-};
+use crate::anonymity::{AdversaryKnowledge, AnonymityReport, DegreePmfCache};
 use crate::cancel::CancelToken;
-use crate::candidate::{select_candidates, VertexSampler};
+use crate::candidate::{select_candidates, EdgeLookup, VertexSampler};
 use crate::config::ChameleonConfig;
 use crate::genobf_checkpoint::{
     graph_fingerprint, search_fingerprint, CheckpointHook, ProbeRecord, SearchCheckpoint,
 };
-use crate::genobf_plan::TrialPlan;
+use crate::genobf_plan::{TrialOverlay, TrialPlan, TrialTape};
 use crate::method::Method;
-use crate::perturb::draw_noise;
 use crate::relevance::{
     edge_reliability_relevance_streamed, edge_reliability_relevance_threads, min_max_normalize,
     vertex_reliability_relevance,
@@ -113,15 +109,33 @@ pub struct ObfuscationResult {
     pub replayed_probes: usize,
 }
 
+/// A passing trial: its graph as an overlay of the input, and its report.
+/// The search keeps overlays, not graphs, and materializes only its final
+/// winner (DESIGN.md §6e).
+type TrialWin<'g> = (TrialOverlay<'g>, AnonymityReport);
+
 /// Outcome of one GenObf call (paper Algorithm 3's `⟨ε̃, G̃⟩`).
 #[derive(Debug, Clone)]
-struct GenObfOutcome {
+struct GenObfOutcome<'g> {
     /// ε̃ — fraction unobfuscated, or 1.0 when every trial failed.
     eps_hat: f64,
     /// Smallest ε̂ actually observed across trials, even when above the
     /// target (diagnostic; drives the near-miss report on failure).
     eps_nearest: f64,
-    graph: Option<(UncertainGraph, AnonymityReport)>,
+    graph: Option<TrialWin<'g>>,
+}
+
+/// What every GenObf call of one anonymize run shares, built once per run:
+/// the input and its adversary, the selection weights with their sampler,
+/// and the input's edge lookup.
+struct GenObfInputs<'g> {
+    graph: &'g UncertainGraph,
+    knowledge: AdversaryKnowledge,
+    method: Method,
+    selection: Vec<f64>,
+    sampler: VertexSampler,
+    lookup: EdgeLookup,
+    seq: SeedSequence,
 }
 
 /// Durability state threaded through one σ search: the queue of probes to
@@ -139,21 +153,21 @@ struct CheckpointState<'a> {
 /// What the σ-search control flow needs from one probe. `payload` is
 /// `None` for replayed probes — the graph is materialized lazily, and only
 /// if that probe ends up winning the search.
-struct ProbeEval {
+struct ProbeEval<'g> {
     call: u64,
     eps_hat: f64,
     eps_nearest: f64,
     passed: bool,
-    payload: Option<(UncertainGraph, AnonymityReport)>,
+    payload: Option<TrialWin<'g>>,
 }
 
 /// Best passing probe seen so far. A replayed winner carries no payload;
-/// the search end materializes it by re-running its recorded call.
-struct BestSoFar {
+/// the search end re-runs its recorded call to rebuild the overlay.
+struct BestSoFar<'g> {
     sigma: f64,
     eps_hat: f64,
     call: u64,
-    payload: Option<(UncertainGraph, AnonymityReport)>,
+    payload: Option<TrialWin<'g>>,
 }
 
 /// The anonymization engine. Construct with a [`ChameleonConfig`], then
@@ -289,6 +303,15 @@ impl Chameleon {
             Vec::new()
         };
         let (excluded, selection) = prepare_selection(graph, method, &uniq, &vrr, &self.config);
+        let inputs = GenObfInputs {
+            graph,
+            knowledge,
+            method,
+            sampler: VertexSampler::new(&selection, &excluded),
+            selection,
+            lookup: EdgeLookup::new(graph),
+            seq,
+        };
 
         let mut sigma_trace: Vec<(f64, f64)> = Vec::new();
         // ---- Algorithm 1: exponential growth phase.
@@ -315,18 +338,7 @@ impl Chameleon {
             if cancel.is_cancelled() {
                 return Err(ChameleonError::Cancelled);
             }
-            let eval = self.probe_sigma(
-                graph,
-                &knowledge,
-                method,
-                sigma_u,
-                &selection,
-                &excluded,
-                &seq,
-                &mut calls,
-                &mut trial_plans,
-                &mut ckpt,
-            );
+            let eval = self.probe_sigma(&inputs, sigma_u, &mut calls, &mut trial_plans, &mut ckpt);
             best_eps_seen = best_eps_seen.min(eval.eps_nearest);
             sigma_trace.push((sigma_u, eval.eps_nearest));
             if eval.passed {
@@ -350,18 +362,8 @@ impl Chameleon {
                 if cancel.is_cancelled() {
                     return Err(ChameleonError::Cancelled);
                 }
-                let eval = self.probe_sigma(
-                    graph,
-                    &knowledge,
-                    method,
-                    sigma,
-                    &selection,
-                    &excluded,
-                    &seq,
-                    &mut calls,
-                    &mut trial_plans,
-                    &mut ckpt,
-                );
+                let eval =
+                    self.probe_sigma(&inputs, sigma, &mut calls, &mut trial_plans, &mut ckpt);
                 best_eps_seen = best_eps_seen.min(eval.eps_nearest);
                 sigma_trace.push((sigma, eval.eps_nearest));
                 if eval.passed {
@@ -392,18 +394,7 @@ impl Chameleon {
                 return Err(ChameleonError::Cancelled);
             }
             let sigma = 0.5 * (sigma_u + sigma_l);
-            let eval = self.probe_sigma(
-                graph,
-                &knowledge,
-                method,
-                sigma,
-                &selection,
-                &excluded,
-                &seq,
-                &mut calls,
-                &mut trial_plans,
-                &mut ckpt,
-            );
+            let eval = self.probe_sigma(&inputs, sigma, &mut calls, &mut trial_plans, &mut ckpt);
             best_eps_seen = best_eps_seen.min(eval.eps_nearest);
             sigma_trace.push((sigma, eval.eps_nearest));
             if eval.passed {
@@ -425,25 +416,15 @@ impl Chameleon {
             call,
             payload,
         } = current_best;
-        let (graph_out, report) = match payload {
+        let (overlay, report) = match payload {
             Some(payload) => payload,
             None => {
                 // The winning probe was replayed from the checkpoint, so
-                // its graph was never built. Each probe is a pure function
-                // of (graph, config, seed, call index) — re-running the
-                // one winning call reproduces it bit for bit.
+                // its overlay was never built. Each probe is a pure
+                // function of (graph, config, seed, call index) — re-running
+                // the one winning call reproduces it bit for bit.
                 let mut replay_calls = call as usize;
-                let outcome = self.gen_obf(
-                    graph,
-                    &knowledge,
-                    method,
-                    sigma,
-                    &selection,
-                    &excluded,
-                    &seq,
-                    &mut replay_calls,
-                    &mut trial_plans,
-                );
+                let outcome = self.gen_obf(&inputs, sigma, &mut replay_calls, &mut trial_plans);
                 match outcome.graph {
                     Some(payload) => payload,
                     None => {
@@ -456,7 +437,7 @@ impl Chameleon {
             }
         };
         Ok(ObfuscationResult {
-            graph: graph_out,
+            graph: overlay.materialize(),
             sigma,
             eps_hat,
             method,
@@ -479,20 +460,14 @@ impl Chameleon {
     /// (wrong σ bits or call index) invalidates the rest of the queue: the
     /// remainder is dropped and the search continues live, which is always
     /// correct, merely slower.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_sigma(
+    fn probe_sigma<'g>(
         &self,
-        graph: &UncertainGraph,
-        knowledge: &AdversaryKnowledge,
-        method: Method,
+        inputs: &GenObfInputs<'g>,
         sigma: f64,
-        selection: &[f64],
-        excluded: &HashSet<NodeId>,
-        seq: &SeedSequence,
         calls: &mut usize,
-        plans: &mut Option<Vec<TrialPlan>>,
+        plans: &mut Option<Vec<TrialPlan<'g>>>,
         ckpt: &mut CheckpointState<'_>,
-    ) -> ProbeEval {
+    ) -> ProbeEval<'g> {
         if let Some(front) = ckpt.replay.front() {
             if front.sigma.to_bits() == sigma.to_bits() && front.call == *calls as u64 {
                 let rec = ckpt.replay.pop_front().expect("front exists");
@@ -512,9 +487,7 @@ impl Chameleon {
             ckpt.replay.clear();
         }
         let call = *calls as u64;
-        let outcome = self.gen_obf(
-            graph, knowledge, method, sigma, selection, excluded, seq, calls, plans,
-        );
+        let outcome = self.gen_obf(inputs, sigma, calls, plans);
         ckpt.probes.push(ProbeRecord {
             call,
             sigma,
@@ -539,35 +512,26 @@ impl Chameleon {
     }
 
     /// One GenObf invocation (paper Algorithm 3): `t` randomized attempts
-    /// at noise level σ, returning the best (k, ε)-satisfying graph found.
+    /// at noise level σ, returning the best (k, ε)-satisfying trial found.
     ///
     /// With `config.incremental` set, the trials' randomness is recorded
     /// into `plans` on the first call and re-evaluated on every later one
     /// (DESIGN.md §6d) instead of being redrawn.
-    #[allow(clippy::too_many_arguments)]
-    fn gen_obf(
+    fn gen_obf<'g>(
         &self,
-        graph: &UncertainGraph,
-        knowledge: &AdversaryKnowledge,
-        method: Method,
+        inputs: &GenObfInputs<'g>,
         sigma: f64,
-        selection: &[f64],
-        excluded: &HashSet<NodeId>,
-        seq: &SeedSequence,
         calls: &mut usize,
-        plans: &mut Option<Vec<TrialPlan>>,
-    ) -> GenObfOutcome {
+        plans: &mut Option<Vec<TrialPlan<'g>>>,
+    ) -> GenObfOutcome<'g> {
         let _span = chameleon_obs::span!("genobf.call");
         let call_idx = *calls as u64;
         *calls += 1;
         let cfg = &self.config;
         let threads = parallel::resolve_threads(cfg.num_threads);
-        let sampler = VertexSampler::new(selection, excluded);
-        let strategy = method.perturbation();
+        let strategy = inputs.method.perturbation();
         if cfg.incremental {
-            return self.gen_obf_incremental(
-                graph, knowledge, strategy, sigma, selection, &sampler, seq, plans,
-            );
+            return self.gen_obf_incremental(inputs, sigma, plans);
         }
         // When trials run concurrently, the per-trial anonymity check runs
         // single-threaded (nested fan-out would oversubscribe the pool);
@@ -584,102 +548,68 @@ impl Chameleon {
         // result exactly. The (call, trial) pair seeds via
         // `rng_indexed2` — the flattened `call·1000 + trial` form used
         // previously collides once a config asks for ≥ 1000 trials.
-        let outcomes: Vec<(f64, Option<(UncertainGraph, AnonymityReport)>)> =
+        let outcomes: Vec<(f64, Option<TrialWin<'g>>)> =
             parallel::map_items(cfg.trials, threads, |trial| {
                 let _trial_span = chameleon_obs::span!("genobf.trial");
                 chameleon_obs::counter!("genobf.trials").add(1);
-                let mut rng = seq.rng_indexed2("genobf-trial", call_idx, trial as u64);
+                let mut rng = inputs
+                    .seq
+                    .rng_indexed2("genobf-trial", call_idx, trial as u64);
                 // Edge selection (lines 9–16).
                 let candidates = {
                     let _s = chameleon_obs::span!("genobf.select");
-                    select_candidates(graph, &sampler, cfg.size_multiplier, &mut rng)
+                    select_candidates(
+                        inputs.graph,
+                        &inputs.lookup,
+                        &inputs.sampler,
+                        cfg.size_multiplier,
+                        &mut rng,
+                    )
                 };
                 if candidates.is_empty() {
                     return (1.0, None);
                 }
                 chameleon_obs::counter!("genobf.edges_perturbed").add(candidates.len() as u64);
-                // Noise budgets (σ(e) ∝ Q^e, mean σ(e) = σ; §V-E).
-                let q_edge: Vec<f64> = candidates
-                    .iter()
-                    .map(|c| 0.5 * (selection[c.u as usize] + selection[c.v as usize]))
-                    .collect();
-                let q_sum: f64 = q_edge.iter().sum();
-                let q_mean = if q_sum > 0.0 {
-                    q_sum / candidates.len() as f64
-                } else {
-                    1.0
+                // Perturbation (lines 17–23) into a delta overlay of the
+                // input: no graph is cloned or mutated per trial.
+                let overlay = {
+                    let _s = chameleon_obs::span!("genobf.perturb");
+                    let tape = TrialTape::draw(candidates, &inputs.selection, strategy, &mut rng);
+                    let mut overlay = TrialOverlay::new(inputs.graph, tape.candidates());
+                    tape.perturb_into(sigma, strategy, cfg.white_noise, &mut overlay);
+                    overlay
                 };
-                // Perturbation (lines 17–23).
-                let _s_perturb = chameleon_obs::span!("genobf.perturb");
-                let mut perturbed = {
-                    let _s = chameleon_obs::span!("genobf.clone");
-                    graph.clone()
-                };
-                for (cand, &qe) in candidates.iter().zip(&q_edge) {
-                    let sigma_e = if q_sum > 0.0 {
-                        (sigma * qe / q_mean).clamp(1e-9, 3.0)
-                    } else {
-                        sigma.clamp(1e-9, 3.0)
-                    };
-                    let r = draw_noise(sigma_e, cfg.white_noise, &mut rng);
-                    let p_new = strategy.apply(cand.p, r, &mut rng);
-                    match cand.existing {
-                        Some(e) => perturbed.set_prob(e, p_new).expect("edge exists"),
-                        None => {
-                            perturbed
-                                .add_edge(cand.u, cand.v, p_new)
-                                .expect("candidate was a non-edge");
-                        }
-                    }
-                }
-                // Anonymity check (line 24). With strip_worlds set the
-                // degree pmfs are built strip-by-strip and discarded
-                // (bit-identical report, O(strip·ω_max) memory).
-                drop(_s_perturb);
-                let report = if cfg.strip_worlds > 0 {
-                    anonymity_check_streamed(
-                        &perturbed,
-                        knowledge,
-                        cfg.k,
-                        cfg.strip_worlds,
-                        check_threads,
-                    )
-                } else {
-                    anonymity_check_threads(&perturbed, knowledge, cfg.k, check_threads)
-                };
-                (report.eps_hat, Some((perturbed, report)))
+                // Anonymity check (line 24), read off the overlay. With
+                // strip_worlds set the degree pmfs are built strip-by-strip
+                // and discarded (bit-identical report, O(strip·ω_max)
+                // memory).
+                let report = overlay.check(&inputs.knowledge, cfg, check_threads);
+                (report.eps_hat, Some((overlay, report)))
             });
         // Fold in trial order with strict-improvement selection: the
         // winner is the first trial attaining the minimal passing ε̂,
         // exactly as a serial loop over trials would pick.
-        let mut best: Option<(f64, UncertainGraph, AnonymityReport)> = None;
+        let mut best: Option<TrialWin<'g>> = None;
         let mut eps_nearest = 1.0f64;
         for (eps_observed, trial_result) in outcomes {
             eps_nearest = eps_nearest.min(eps_observed);
-            let Some((perturbed, report)) = trial_result else {
+            let Some((overlay, report)) = trial_result else {
                 continue;
             };
             if report.eps_hat <= cfg.epsilon {
                 let better = best
                     .as_ref()
-                    .map(|(e, _, _)| report.eps_hat < *e)
+                    .map(|(_, r)| report.eps_hat < r.eps_hat)
                     .unwrap_or(true);
                 if better {
-                    best = Some((report.eps_hat, perturbed, report));
+                    best = Some((overlay, report));
                 }
             }
         }
-        match best {
-            Some((eps_hat, g, rep)) => GenObfOutcome {
-                eps_hat,
-                eps_nearest,
-                graph: Some((g, rep)),
-            },
-            None => GenObfOutcome {
-                eps_hat: 1.0,
-                eps_nearest,
-                graph: None,
-            },
+        GenObfOutcome {
+            eps_hat: best.as_ref().map_or(1.0, |(_, r)| r.eps_hat),
+            eps_nearest,
+            graph: best,
         }
     }
 
@@ -688,22 +618,16 @@ impl Chameleon {
     /// non-incremental path would consume, so that call's winner is
     /// bit-identical — and every σ probe afterwards re-transforms the
     /// stored randomness through the new σ's inverse CDF. Anonymity checks
-    /// run off the shared degree-pmf cache, and the winning graph is
-    /// materialized only when a probe passes.
-    #[allow(clippy::too_many_arguments)]
-    fn gen_obf_incremental(
+    /// run off the shared degree-pmf cache.
+    fn gen_obf_incremental<'g>(
         &self,
-        graph: &UncertainGraph,
-        knowledge: &AdversaryKnowledge,
-        strategy: crate::perturb::PerturbStrategy,
+        inputs: &GenObfInputs<'g>,
         sigma: f64,
-        selection: &[f64],
-        sampler: &VertexSampler,
-        seq: &SeedSequence,
-        plans: &mut Option<Vec<TrialPlan>>,
-    ) -> GenObfOutcome {
+        plans: &mut Option<Vec<TrialPlan<'g>>>,
+    ) -> GenObfOutcome<'g> {
         let cfg = &self.config;
         let threads = parallel::resolve_threads(cfg.num_threads);
+        let strategy = inputs.method.perturbation();
         // The tape is always recorded from the call-0 RNG streams, no
         // matter which call triggers recording: in a fresh run the first
         // call *is* call 0, and in a checkpoint-resumed run the first live
@@ -712,16 +636,17 @@ impl Chameleon {
         // uninterrupted run's.
         let plans = plans.get_or_insert_with(|| {
             let _s = chameleon_obs::span!("genobf.plan_record");
-            let base_cache = DegreePmfCache::build(graph, knowledge, threads);
+            let base_cache = DegreePmfCache::build(inputs.graph, &inputs.knowledge, threads);
             (0..cfg.trials)
                 .map(|trial| {
-                    let mut rng = seq.rng_indexed2("genobf-trial", 0, trial as u64);
+                    let mut rng = inputs.seq.rng_indexed2("genobf-trial", 0, trial as u64);
                     TrialPlan::record(
-                        graph,
-                        sampler,
+                        inputs.graph,
+                        &inputs.lookup,
+                        &inputs.sampler,
                         cfg,
                         strategy,
-                        selection,
+                        &inputs.selection,
                         &base_cache,
                         &mut rng,
                     )
@@ -732,7 +657,7 @@ impl Chameleon {
         // path. An ε̂ = 0 probe cannot be strictly beaten, so the remaining
         // trials are skipped (eps_nearest may then under-report — a legal
         // §6d divergence of the diagnostic trace).
-        let mut best: Option<(f64, usize, AnonymityReport)> = None;
+        let mut best: Option<(usize, AnonymityReport)> = None;
         let mut eps_nearest = 1.0f64;
         for (trial, plan) in plans.iter_mut().enumerate() {
             let _trial_span = chameleon_obs::span!("genobf.trial");
@@ -740,33 +665,26 @@ impl Chameleon {
             if plan.is_degenerate() {
                 continue;
             }
-            let report = plan.check_at_sigma(sigma, strategy, knowledge, cfg);
+            let report = plan.check_at_sigma(sigma, strategy, &inputs.knowledge, cfg);
             eps_nearest = eps_nearest.min(report.eps_hat);
             if report.eps_hat <= cfg.epsilon {
                 let better = best
                     .as_ref()
-                    .map(|(e, _, _)| report.eps_hat < *e)
+                    .map(|(_, r)| report.eps_hat < r.eps_hat)
                     .unwrap_or(true);
                 if better {
                     let exact = report.eps_hat == 0.0;
-                    best = Some((report.eps_hat, trial, report));
+                    best = Some((trial, report));
                     if exact {
                         break;
                     }
                 }
             }
         }
-        match best {
-            Some((eps_hat, trial, report)) => GenObfOutcome {
-                eps_hat,
-                eps_nearest,
-                graph: Some((plans[trial].materialize(graph), report)),
-            },
-            None => GenObfOutcome {
-                eps_hat: 1.0,
-                eps_nearest,
-                graph: None,
-            },
+        GenObfOutcome {
+            eps_hat: best.as_ref().map_or(1.0, |(_, r)| r.eps_hat),
+            eps_nearest,
+            graph: best.map(|(trial, report)| (plans[trial].overlay().clone(), report)),
         }
     }
 }

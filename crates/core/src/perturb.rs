@@ -26,14 +26,25 @@ pub enum PerturbStrategy {
 }
 
 impl PerturbStrategy {
-    /// Applies the rule. `r` must lie in `[0, 1]`.
+    /// Applies the rule. `r` must lie in `[0, 1]`. The unguided rule draws
+    /// its sign from `rng`; the max-entropy rule draws nothing.
     pub fn apply<R: Rng + ?Sized>(&self, p: f64, r: f64, rng: &mut R) -> f64 {
+        let up = match self {
+            PerturbStrategy::MaxEntropy => true,
+            PerturbStrategy::Unguided => rng.gen::<bool>(),
+        };
+        self.apply_signed(p, r, up)
+    }
+
+    /// Applies the rule with the unguided sign given (`up` = `+r`); the
+    /// max-entropy rule ignores it. `r` must lie in `[0, 1]`.
+    pub fn apply_signed(&self, p: f64, r: f64, up: bool) -> f64 {
         debug_assert!((0.0..=1.0).contains(&p), "p out of range: {p}");
         debug_assert!((0.0..=1.0).contains(&r), "r out of range: {r}");
         match self {
             PerturbStrategy::MaxEntropy => (p + (1.0 - 2.0 * p) * r).clamp(0.0, 1.0),
             PerturbStrategy::Unguided => {
-                let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                let sign = if up { 1.0 } else { -1.0 };
                 (p + sign * r).clamp(0.0, 1.0)
             }
         }
